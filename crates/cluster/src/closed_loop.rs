@@ -648,6 +648,77 @@ fn new_store(knobs: &Knobs) -> Store {
     }
 }
 
+/// Workload structure built once per run, before any shard engine exists.
+///
+/// Under a shared structure seed every proxy whose config has the same
+/// [`SynthWebConfig::structure_key`] draws the same catalogue, chain and
+/// initial client positions from `Rng::new(seed)`, so one [`SynthWeb`]
+/// (and, for oracle candidates, one successor table) per distinct key
+/// serves them all: each proxy gets a [`SynthWeb::with_lambda`] clone
+/// that shares the catalogue and chain through `Arc`, and a predictor
+/// clone that shares the table. Without a shared seed each proxy draws
+/// its own structure from its own stream at engine construction.
+///
+/// [`SynthWebConfig::structure_key`]: workload::synth_web::SynthWebConfig::structure_key
+pub(crate) struct Structures {
+    /// Per global proxy, its entry in `shared`; empty when proxies draw
+    /// their own structures.
+    of_proxy: Vec<usize>,
+    shared: Vec<(SynthWeb, Option<OraclePredictor>)>,
+}
+
+impl Structures {
+    pub(crate) fn build(workload: EngineWorkload<'_>) -> Structures {
+        let mut out = Structures { of_proxy: Vec::new(), shared: Vec::new() };
+        let EngineWorkload::Synth(w) = workload else { return out };
+        let Some(seed) = w.shared_structure_seed else { return out };
+        let mut index: HashMap<[u64; 6], usize> = HashMap::new();
+        for cfg in &w.proxies {
+            let k = *index.entry(cfg.structure_key()).or_insert_with(|| {
+                let web = SynthWeb::new(*cfg, &mut Rng::new(seed));
+                let oracle = oracle_for(w, &web);
+                out.shared.push((web, oracle));
+                out.shared.len() - 1
+            });
+            out.of_proxy.push(k);
+        }
+        out
+    }
+
+    /// Global proxy `i`'s request generator and candidate predictor. A
+    /// proxy without a shared structure draws its own from `rng`.
+    fn proxy(
+        &self,
+        w: &AdaptiveWorkload,
+        i: usize,
+        rng: &mut Rng,
+    ) -> (SynthWeb, Box<dyn Predictor + Send>) {
+        let cfg = &w.proxies[i];
+        let (web, oracle) = match self.of_proxy.get(i) {
+            Some(&k) => {
+                let (web, oracle) = &self.shared[k];
+                (web.with_lambda(cfg.lambda), oracle.clone())
+            }
+            None => {
+                let web = SynthWeb::new(*cfg, rng);
+                let oracle = oracle_for(w, &web);
+                (web, oracle)
+            }
+        };
+        let predictor: Box<dyn Predictor + Send> = match oracle {
+            Some(o) => Box::new(o),
+            None => Box::new(MarkovPredictor::new(1)),
+        };
+        (web, predictor)
+    }
+}
+
+/// The oracle over `web`'s chain, when the workload asks for oracle
+/// candidates.
+fn oracle_for(w: &AdaptiveWorkload, web: &SynthWeb) -> Option<OraclePredictor> {
+    matches!(w.predictor, CandidateSource::Oracle).then(|| OraclePredictor::from_chain(&web.chain))
+}
+
 impl<'a> Engine<'a> {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
@@ -659,6 +730,7 @@ impl<'a> Engine<'a> {
         seed: u64,
         scope: Scope,
         faults: Option<&'a FaultConfig>,
+        structures: &Structures,
     ) -> Self {
         if let Some(fc) = faults {
             fc.retry.validate();
@@ -678,25 +750,7 @@ impl<'a> Engine<'a> {
                 let jitter_rng = rng.split();
                 let (mut source, predictor): (Source, Box<dyn Predictor + Send>) = match workload {
                     EngineWorkload::Synth(w) => {
-                        let web_cfg = &w.proxies[i];
-                        // With a shared structure seed every proxy draws the
-                        // same catalog and navigation chain (the redundancy
-                        // cooperative caching removes); otherwise each
-                        // proxy's structure comes from its own stream,
-                        // exactly as before.
-                        let web = match w.shared_structure_seed {
-                            Some(s) => {
-                                let mut structure_rng = Rng::new(s);
-                                SynthWeb::new(*web_cfg, &mut structure_rng)
-                            }
-                            None => SynthWeb::new(*web_cfg, &mut rng),
-                        };
-                        let predictor: Box<dyn Predictor + Send> = match w.predictor {
-                            CandidateSource::Oracle => {
-                                Box::new(OraclePredictor::from_chain(&web.chain))
-                            }
-                            CandidateSource::Markov1 => Box::new(MarkovPredictor::new(1)),
-                        };
+                        let (web, predictor) = structures.proxy(w, i, &mut rng);
                         (Source::Synth(web), predictor)
                     }
                     EngineWorkload::Trace(tw) => {
@@ -1999,11 +2053,21 @@ pub(crate) fn run_observed(
         None => 0.0,
     };
     let trace_every = obs_cfg.map(|c| c.trace_every).unwrap_or(0);
+    let structures = Structures::build(workload);
     let runners: Vec<ShardRunner<Engine<'_>>> = (0..plan.n_shards())
         .map(|s| {
             let scope = Scope::shard(topology, plan, s);
-            let mut engine =
-                Engine::new(topology, workload, coop_cfg, requests, warmup, seed, scope, faults);
+            let mut engine = Engine::new(
+                topology,
+                workload,
+                coop_cfg,
+                requests,
+                warmup,
+                seed,
+                scope,
+                faults,
+                &structures,
+            );
             if trace_every > 0 {
                 engine.attach_trace(trace_every);
             }
@@ -2100,4 +2164,60 @@ pub(crate) fn run_observed(
     let extras = RunExtras { recorded, replay };
 
     (merge_reports(topology, engines, router), cluster_obs, extras)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+    use workload::synth_web::SynthWebConfig;
+
+    fn workload(proxies: Vec<SynthWebConfig>, seed: Option<u64>) -> AdaptiveWorkload {
+        AdaptiveWorkload {
+            proxies,
+            cache_capacity: 20,
+            cache_bytes: None,
+            max_candidates: 3,
+            prefetch_jitter: 0.0,
+            policy: ProxyPolicy::Adaptive,
+            predictor: CandidateSource::Oracle,
+            shared_structure_seed: seed,
+            delayed: DelayedHitsConfig::default(),
+        }
+    }
+
+    #[test]
+    fn structures_are_shared_exactly_across_lambda() {
+        let base = SynthWebConfig::default();
+        let w = workload(
+            vec![
+                base,
+                SynthWebConfig { lambda: 5.0, ..base },
+                SynthWebConfig { n_items: 600, ..base },
+                SynthWebConfig { n_clients: 4, ..base },
+                SynthWebConfig { lambda: 9.0, n_items: 600, ..base },
+            ],
+            Some(3),
+        );
+        let structures = Structures::build(EngineWorkload::Synth(&w));
+        assert_eq!(structures.shared.len(), 3, "one structure per distinct non-lambda config");
+        assert_eq!(structures.of_proxy, vec![0, 0, 1, 2, 1]);
+        let webs: Vec<SynthWeb> =
+            (0..5).map(|i| structures.proxy(&w, i, &mut Rng::new(i as u64)).0).collect();
+        assert!(Arc::ptr_eq(&webs[0].chain, &webs[1].chain));
+        assert!(Arc::ptr_eq(&webs[2].chain, &webs[4].chain));
+        assert!(!Arc::ptr_eq(&webs[0].chain, &webs[2].chain), "n_items differs");
+        assert!(!Arc::ptr_eq(&webs[0].chain, &webs[3].chain), "n_clients differs");
+        for (web, cfg) in webs.iter().zip(&w.proxies) {
+            assert_eq!(web.config().lambda, cfg.lambda, "the rate stays per proxy");
+        }
+
+        // Without a shared seed every proxy draws its own structure.
+        let own = workload(vec![base, base], None);
+        let structures = Structures::build(EngineWorkload::Synth(&own));
+        assert!(structures.shared.is_empty());
+        let a = structures.proxy(&own, 0, &mut Rng::new(1)).0;
+        let b = structures.proxy(&own, 1, &mut Rng::new(1)).0;
+        assert!(!Arc::ptr_eq(&a.chain, &b.chain));
+    }
 }

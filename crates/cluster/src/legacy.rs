@@ -85,42 +85,48 @@ pub fn run(config: &ClusterConfig<'_>, seed: u64) -> ClusterReport {
             run_static(&config.topology, eng)
         }
         Workload::Adaptive(w) => {
+            let workload = closed_loop::EngineWorkload::Synth(w);
             let eng = closed_loop::Engine::new(
                 &config.topology,
-                closed_loop::EngineWorkload::Synth(w),
+                workload,
                 None,
                 config.requests_per_proxy,
                 config.warmup_per_proxy,
                 seed,
                 scope,
                 None,
+                &closed_loop::Structures::build(workload),
             );
             run_closed(&config.topology, eng, None)
         }
         Workload::Cooperative(w) => {
+            let workload = closed_loop::EngineWorkload::Synth(&w.base);
             let eng = closed_loop::Engine::new(
                 &config.topology,
-                closed_loop::EngineWorkload::Synth(&w.base),
+                workload,
                 Some(&w.coop),
                 config.requests_per_proxy,
                 config.warmup_per_proxy,
                 seed,
                 scope,
                 None,
+                &closed_loop::Structures::build(workload),
             );
             let router = Router::new(config.topology.n_proxies(), w.base.cache_capacity, w.coop);
             run_closed(&config.topology, eng, Some(router))
         }
         Workload::Trace(w) => {
+            let workload = closed_loop::EngineWorkload::Trace(w);
             let eng = closed_loop::Engine::new(
                 &config.topology,
-                closed_loop::EngineWorkload::Trace(w),
+                workload,
                 None,
                 config.requests_per_proxy,
                 config.warmup_per_proxy,
                 seed,
                 scope,
                 None,
+                &closed_loop::Structures::build(workload),
             );
             run_closed(&config.topology, eng, None)
         }

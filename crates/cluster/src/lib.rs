@@ -216,7 +216,9 @@ pub struct AdaptiveWorkload {
     /// chain from this shared seed, so all proxies serve the *same* item
     /// universe with the same hot set — the cross-proxy redundancy
     /// cooperative caching exists to remove. Arrival randomness stays
-    /// per-proxy. `None` (the default situation) keeps fully independent
+    /// per-proxy. The structure is built once per run for each distinct
+    /// config up to `lambda` and shared by every proxy and shard that
+    /// uses it. `None` (the default situation) keeps fully independent
     /// per-proxy structures, exactly as before.
     pub shared_structure_seed: Option<u64>,
     /// Delayed-hits behaviour: MSHR table budget, miss coalescing,

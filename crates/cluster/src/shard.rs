@@ -22,17 +22,22 @@
 //!   applying same-instant effects depth-first, exactly the order a single
 //!   monolithic scheduler would produce. This is the parity oracle, and
 //!   the fallback whenever the partition's lookahead is zero.
-//! * [`drive_windowed`] — one thread per shard plus a coordinator,
+//! * [`drive_windowed`] — one thread per shard and no coordinator,
 //!   synchronised with the classic **conservative time-window** scheme:
 //!   with `L = plan.lookahead()` (the minimum propagation delay of any
 //!   cross-shard handoff) and `T` the globally earliest pending event,
 //!   every event in `[T, T + L)` can be executed without seeing any other
 //!   shard's window — an effect emitted at `t ≥ T` arrives at
-//!   `t + delay ≥ T + L`, past the window's end. Each round the
-//!   coordinator publishes the horizon, shards drain their windows in
-//!   parallel (posting cross-shard effects to `simcore::par::Mailboxes`),
-//!   and a barrier exchanges the mail before the next horizon is computed
-//!   from the shards' published next-event times (`simcore::par::TimeBoard`).
+//!   `t + delay ≥ T + L`, past the window's end. A round is one barrier
+//!   wait. Before it, each shard drains its window, posting cross-shard
+//!   effects to `simcore::par::Mailboxes`, and publishes
+//!   `min(next local event, earliest effect it sent)` on a
+//!   `simcore::par::TimeBoard`. After it, each shard drains its mail and
+//!   reads the board, whose minimum is then the globally earliest pending
+//!   event, so every shard computes the same next round from the same
+//!   snapshot. Boards and mailboxes are double-buffered by round parity,
+//!   because a fast shard may start round `r + 1` while a slow one still
+//!   reads round `r`'s buffers.
 //!
 //! ## Why determinism holds
 //!
@@ -56,21 +61,24 @@
 //!
 //! Digest refreshes are the one global synchronisation: the horizon never
 //! crosses the next epoch boundary, and when every shard's next event lies
-//! beyond it the coordinator collects per-proxy payloads
-//! ([`coop::RefreshPayload`]) at a barrier, applies them to the shared
-//! router, and only then opens the next window. Between boundaries the
-//! router is immutable, so shards read it lock-free in spirit (a shared
-//! `RwLock` read guard held for the whole window).
+//! beyond it the round is a refresh. Each shard contributes its per-proxy
+//! payloads ([`coop::RefreshPayload`]) before the round's barrier, shard 0
+//! applies them to the shared router after it, and a second barrier holds
+//! the others until the router is updated. Between boundaries the router
+//! is immutable, so shards read it lock-free in spirit (a shared `RwLock`
+//! read guard held for the whole window). Boundary faults take a round of
+//! their own too: each shard applies its share of the fault and shard 0
+//! quarantines a crashed proxy in the router, all before the barrier.
 
 use crate::topology::ShardPlan;
 use coop::{RefreshPayload, Router};
 use simcore::faults::{FaultEvent, FaultKind};
 use simcore::obs::{FlightKind, FlightRecord, FlightRecorder, ObsConfig};
-use simcore::par::{Mailboxes, TimeBoard};
+use simcore::par::{Mailboxes, SpinBarrier, TimeBoard};
 use simcore::sched::{KeyLayout, Scheduler};
 use simcore::ShardProfile;
 use std::collections::VecDeque;
-use std::sync::{Barrier, Mutex, RwLock};
+use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
 /// Event classes, in same-instant firing order. Both engines and every
@@ -150,7 +158,7 @@ pub(crate) struct RunnerObs {
 
 /// Waits on `barrier`, charging the wait to the shard's barrier-wall
 /// profile when observability is on.
-fn timed_wait(barrier: &Barrier, obs: &mut Option<Box<RunnerObs>>) {
+fn timed_wait(barrier: &SpinBarrier, obs: &mut Option<Box<RunnerObs>>) {
     match obs.as_deref_mut() {
         Some(o) => {
             let t0 = Instant::now();
@@ -502,7 +510,9 @@ pub(crate) fn drive_sequential<C: EngineCore>(
     (runners, router)
 }
 
-/// What the coordinator asks the shard threads to do next.
+/// What every shard thread does in one round. Each thread derives it from
+/// the same inputs (the time board, the router's next epoch boundary and
+/// the next boundary fault), so all threads agree without a coordinator.
 #[derive(Clone, Copy, Debug)]
 enum Round {
     /// Drain the window up to `limit` (inclusive at the pre-refresh
@@ -511,14 +521,159 @@ enum Round {
     /// Build and publish refresh payloads for the armed epoch boundary.
     Refresh,
     /// Apply a boundary fault: each shard handles its share of the
-    /// faulted entity; the coordinator quarantines the router afterwards.
+    /// faulted entity, and shard 0 quarantines the router.
     Fault { t: f64, kind: FaultKind },
     /// All shards idle: exit.
     Stop,
 }
 
-/// Multi-threaded conservative-window driver: one `std::thread::scope`
-/// worker per shard plus the calling thread as coordinator. Requires
+impl Round {
+    /// The round after a barrier at which the earliest pending event (or
+    /// in-flight effect) anywhere is `t_min`. Boundaries strictly before
+    /// `t_min` fire first, faults before refreshes on ties, matching the
+    /// sequential driver.
+    fn decide(
+        t_min: f64,
+        next_refresh: Option<f64>,
+        next_fault: Option<&FaultEvent>,
+        lookahead: f64,
+    ) -> Round {
+        if t_min.is_infinite() {
+            return Round::Stop;
+        }
+        let fault_t = next_fault.map_or(f64::INFINITY, |e| e.t);
+        let refresh_t = next_refresh.unwrap_or(f64::INFINITY);
+        let boundary = fault_t.min(refresh_t);
+        if boundary < t_min {
+            return match next_fault {
+                Some(ev) if fault_t <= refresh_t => Round::Fault { t: ev.t, kind: ev.kind },
+                _ => Round::Refresh,
+            };
+        }
+        // Events exactly at a boundary precede it: sweep them (and only
+        // them) inclusively.
+        let (limit, inclusive) = if t_min == boundary {
+            (boundary, true)
+        } else {
+            ((t_min + lookahead).min(boundary), false)
+        };
+        assert!(
+            inclusive || limit > t_min,
+            "window [{t_min}, {limit}) collapsed — lookahead {lookahead} \
+             under-flows the time magnitude"
+        );
+        Round::Window { limit, inclusive }
+    }
+}
+
+/// State the windowed driver's shard threads share. Round `r` reads
+/// `boards[r % 2]`, publishes into `boards[(r + 1) % 2]` and posts its
+/// cross-shard effects to `mail[r % 2]`: a thread can run at most one
+/// round ahead of the slowest, so the buffer it writes is never the one a
+/// slower thread is still reading.
+struct Rounds<'a, J> {
+    boards: [TimeBoard; 2],
+    mail: [Mailboxes<Effect<J>>; 2],
+    barrier: SpinBarrier,
+    router: RwLock<Option<Router>>,
+    payloads: Mutex<Vec<BoundaryEntry>>,
+    plan: &'a ShardPlan,
+    faults: &'a [FaultEvent],
+    lookahead: f64,
+}
+
+impl<J: Copy + Send> Rounds<'_, J> {
+    /// Shard `me`'s thread: rounds until every shard is idle.
+    fn run<C: EngineCore<Job = J>>(&self, me: usize, runner: &mut ShardRunner<C>) {
+        let mut fi = 0usize;
+        let mut parity = 0usize;
+        loop {
+            let next_refresh =
+                self.router.read().expect("router poisoned").as_ref().map(|r| r.next_refresh());
+            let t_min = self.boards[parity].min();
+            let round = Round::decide(t_min, next_refresh, self.faults.get(fi), self.lookahead);
+            let outbox = &self.mail[parity];
+            // Every effect sent this round is in flight at the barrier; the
+            // published time covers it, so the board's minimum after the
+            // barrier is the earliest event anywhere once the mail lands.
+            let mut earliest_sent = f64::INFINITY;
+            match round {
+                Round::Stop => break,
+                Round::Window { limit, inclusive } => {
+                    let timer = runner.obs.is_some().then(Instant::now);
+                    let mut sent = 0u64;
+                    {
+                        let guard = self.router.read().expect("router poisoned");
+                        runner.run_window(limit, inclusive, guard.as_ref(), &mut |e| {
+                            let dest = e.owner(self.plan);
+                            debug_assert_ne!(dest, me, "local effect routed to the mailboxes");
+                            sent += 1;
+                            earliest_sent = earliest_sent.min(e.time());
+                            outbox.send(dest, e);
+                        });
+                    }
+                    if let Some(o) = &mut runner.obs {
+                        o.profile.windows += 1;
+                        o.profile.effects_sent += sent;
+                        if let Some(t0) = timer {
+                            o.profile.window_wall.push(t0.elapsed().as_secs_f64());
+                        }
+                    }
+                }
+                Round::Refresh => {
+                    runner.core.refresh_payloads(
+                        &mut self.payloads.lock().expect("payload sink poisoned"),
+                    );
+                    if let Some(o) = &mut runner.obs {
+                        o.profile.refreshes += 1;
+                    }
+                }
+                Round::Fault { t, kind } => {
+                    // Each scope mutates only the entities it owns, so the
+                    // parallel application is race-free. The quarantine
+                    // leaves the router's epoch grid alone, so the other
+                    // threads' reads of it this round are unaffected.
+                    runner.core.apply_fault(t, &kind);
+                    runner.resync();
+                    if let (0, FaultKind::ProxyCrash { proxy }) = (me, kind) {
+                        if let Some(r) = self.router.write().expect("router poisoned").as_mut() {
+                            r.quarantine(proxy);
+                        }
+                    }
+                    fi += 1;
+                }
+            }
+            let next = runner.next_time().map_or(earliest_sent, |t| t.min(earliest_sent));
+            self.boards[parity ^ 1].publish(me, Some(next));
+            timed_wait(&self.barrier, &mut runner.obs);
+            if matches!(round, Round::Refresh) {
+                // Every payload is in; shard 0 applies the boundary while
+                // the others wait, since the next round reads the router.
+                if me == 0 {
+                    let entries = std::mem::take(&mut *self.payloads.lock().expect("payload sink"));
+                    let mut guard = self.router.write().expect("router poisoned");
+                    flush_boundary(
+                        guard.as_mut().expect("refresh round without a router"),
+                        entries,
+                    );
+                }
+                timed_wait(&self.barrier, &mut runner.obs);
+            }
+            let msgs = outbox.drain(me);
+            if let Some(o) = &mut runner.obs {
+                o.profile.mailbox_drained(msgs.len());
+            }
+            for e in msgs {
+                runner.accept(e);
+            }
+            parity ^= 1;
+        }
+    }
+}
+
+/// Multi-threaded conservative-window driver: one thread per shard (the
+/// calling thread runs shard 0), one barrier wait per round and a second
+/// one around the router flush of a refresh round. Requires
 /// `plan.lookahead() > 0` — callers fall back to [`drive_sequential`]
 /// otherwise. Produces bit-identical state evolution to the sequential
 /// driver (see the module docs for the argument; `shard_parity.rs` for the
@@ -532,152 +687,30 @@ pub(crate) fn drive_windowed<C: EngineCore>(
     let lookahead = plan.lookahead();
     assert!(lookahead > 0.0, "windowed driver needs positive lookahead");
     let n = runners.len();
-
-    let board = TimeBoard::new(n);
+    let rounds = Rounds {
+        boards: [TimeBoard::new(n), TimeBoard::new(n)],
+        mail: [Mailboxes::new(n), Mailboxes::new(n)],
+        barrier: SpinBarrier::new(n),
+        router: RwLock::new(router),
+        payloads: Mutex::new(Vec::new()),
+        plan,
+        faults,
+        lookahead,
+    };
     for (i, runner) in runners.iter_mut().enumerate() {
-        board.publish(i, runner.next_time());
+        rounds.boards[0].publish(i, runner.next_time());
     }
-    let mail: Mailboxes<Effect<C::Job>> = Mailboxes::new(n);
-    // Workers + coordinator: three waits per round (publish horizon; work;
-    // exchange mail and publish times).
-    let barrier = Barrier::new(n + 1);
-    let round = Mutex::new(Round::Stop);
-    let router_cell = RwLock::new(router);
-    let payload_cell: Mutex<Vec<BoundaryEntry>> = Mutex::new(Vec::new());
 
     std::thread::scope(|scope| {
-        for (me, runner) in runners.iter_mut().enumerate() {
-            let (board, mail, barrier, round) = (&board, &mail, &barrier, &round);
-            let (router_cell, payload_cell) = (&router_cell, &payload_cell);
-            scope.spawn(move || loop {
-                timed_wait(barrier, &mut runner.obs);
-                let what = *round.lock().expect("round descriptor poisoned");
-                match what {
-                    Round::Stop => break,
-                    Round::Window { limit, inclusive } => {
-                        let timer = runner.obs.is_some().then(Instant::now);
-                        let mut sent = 0u64;
-                        {
-                            let guard = router_cell.read().expect("router poisoned");
-                            runner.run_window(limit, inclusive, guard.as_ref(), &mut |e| {
-                                let dest = e.owner(plan);
-                                debug_assert_ne!(dest, me, "local effect routed to the mailboxes");
-                                sent += 1;
-                                mail.send(dest, e);
-                            });
-                        }
-                        if let Some(o) = &mut runner.obs {
-                            o.profile.windows += 1;
-                            o.profile.effects_sent += sent;
-                            if let Some(t0) = timer {
-                                o.profile.window_wall.push(t0.elapsed().as_secs_f64());
-                            }
-                        }
-                    }
-                    Round::Refresh => {
-                        {
-                            let mut sink = payload_cell.lock().expect("payload sink poisoned");
-                            runner.core.refresh_payloads(&mut sink);
-                        }
-                        if let Some(o) = &mut runner.obs {
-                            o.profile.refreshes += 1;
-                        }
-                    }
-                    Round::Fault { t, kind } => {
-                        // Each scope mutates only the entities it owns, so
-                        // the parallel application is race-free; the
-                        // router-side quarantine is the coordinator's.
-                        runner.core.apply_fault(t, &kind);
-                        runner.resync();
-                    }
-                }
-                timed_wait(barrier, &mut runner.obs);
-                // Exchange phase: everyone's sends for this round are in
-                // (the barrier above orders them); drain ours and publish
-                // our next pending time for the coordinator's horizon.
-                let msgs = mail.drain(me);
-                if let Some(o) = &mut runner.obs {
-                    o.profile.mailbox_drained(msgs.len());
-                }
-                for e in msgs {
-                    runner.accept(e);
-                }
-                board.publish(me, runner.next_time());
-                timed_wait(barrier, &mut runner.obs);
-            });
+        let (first, rest) = runners.split_first_mut().expect("windowed driver without shards");
+        let rounds = &rounds;
+        for (i, runner) in rest.iter_mut().enumerate() {
+            scope.spawn(move || rounds.run(i + 1, runner));
         }
-
-        // Coordinator.
-        let mut fi = 0usize;
-        loop {
-            let t_min = board.min();
-            let next_refresh =
-                router_cell.read().expect("router poisoned").as_ref().map(|r| r.next_refresh());
-            let next_fault = faults.get(fi).map(|e| e.t).unwrap_or(f64::INFINITY);
-            // The earliest pending boundary of either kind; ties go to the
-            // fault, matching the sequential driver.
-            let boundary = next_refresh.map_or(next_fault, |r| next_fault.min(r));
-            let what = if t_min.is_infinite() {
-                Round::Stop
-            } else if boundary < t_min {
-                if next_fault <= next_refresh.unwrap_or(f64::INFINITY) {
-                    let ev = &faults[fi];
-                    Round::Fault { t: ev.t, kind: ev.kind }
-                } else {
-                    Round::Refresh
-                }
-            } else {
-                let (limit, inclusive) = if boundary.is_finite() {
-                    // Events exactly at a boundary precede it: sweep them
-                    // (and only them) inclusively.
-                    if t_min == boundary {
-                        (boundary, true)
-                    } else {
-                        ((t_min + lookahead).min(boundary), false)
-                    }
-                } else {
-                    (t_min + lookahead, false)
-                };
-                assert!(
-                    inclusive || limit > t_min,
-                    "window [{t_min}, {limit}) collapsed — lookahead {lookahead} \
-                     under-flows the time magnitude"
-                );
-                Round::Window { limit, inclusive }
-            };
-            *round.lock().expect("round descriptor poisoned") = what;
-            barrier.wait();
-            if matches!(what, Round::Stop) {
-                break;
-            }
-            barrier.wait();
-            match what {
-                Round::Refresh => {
-                    // Workers are in the exchange phase and never touch the
-                    // router there; apply the boundary while they drain mail.
-                    let entries = std::mem::take(&mut *payload_cell.lock().expect("payload sink"));
-                    let mut guard = router_cell.write().expect("router poisoned");
-                    flush_boundary(
-                        guard.as_mut().expect("refresh round without a router"),
-                        entries,
-                    );
-                }
-                Round::Fault { kind, .. } => {
-                    if let FaultKind::ProxyCrash { proxy } = kind {
-                        let mut guard = router_cell.write().expect("router poisoned");
-                        if let Some(r) = guard.as_mut() {
-                            r.quarantine(proxy);
-                        }
-                    }
-                    fi += 1;
-                }
-                _ => {}
-            }
-            barrier.wait();
-        }
+        rounds.run(0, first);
     });
 
-    let router = router_cell.into_inner().expect("router poisoned");
+    let router = rounds.router.into_inner().expect("router poisoned");
     (runners, router)
 }
 

@@ -7,33 +7,43 @@
 //! survives estimation noise.
 
 use crate::{sort_candidates, Predictor};
-use std::collections::HashMap;
+use std::sync::Arc;
 use workload::{ItemId, MarkovChain};
 
 /// Predictor with perfect knowledge of a first-order Markov source.
+///
+/// The successor table is immutable and `Arc`-shared: a clone shares it
+/// and copies only the observed state, so one table serves every proxy
+/// that walks the same chain.
+#[derive(Clone)]
 pub struct OraclePredictor {
-    successors: HashMap<ItemId, Vec<(ItemId, f64)>>,
+    /// Per item, its non-zero successors in candidate order (descending
+    /// probability, ascending id on ties).
+    successors: Arc<Vec<Vec<(ItemId, f64)>>>,
     current: Option<ItemId>,
 }
 
 impl OraclePredictor {
     /// Snapshots the chain's transition structure.
     pub fn from_chain(chain: &MarkovChain) -> Self {
-        let mut successors = HashMap::with_capacity(chain.len());
-        for i in 0..chain.len() as u64 {
-            successors.insert(ItemId(i), chain.successors(ItemId(i)));
-        }
-        OraclePredictor { successors, current: None }
+        let successors = (0..chain.len() as u64)
+            .map(|i| {
+                let mut row = chain.successors(ItemId(i));
+                sort_candidates(&mut row, usize::MAX);
+                row
+            })
+            .collect();
+        OraclePredictor { successors: Arc::new(successors), current: None }
+    }
+
+    /// The current item's successor row (empty before any observation).
+    fn row(&self) -> &[(ItemId, f64)] {
+        self.current.and_then(|cur| self.successors.get(cur.0 as usize)).map_or(&[], Vec::as_slice)
     }
 
     /// True `P(next = b | current)`.
     pub fn prob(&self, b: ItemId) -> f64 {
-        let Some(cur) = self.current else { return 0.0 };
-        self.successors
-            .get(&cur)
-            .and_then(|s| s.iter().find(|(id, _)| *id == b))
-            .map(|(_, p)| *p)
-            .unwrap_or(0.0)
+        self.row().iter().find(|(id, _)| *id == b).map_or(0.0, |&(_, p)| p)
     }
 }
 
@@ -43,12 +53,7 @@ impl Predictor for OraclePredictor {
     }
 
     fn candidates(&self, max: usize) -> Vec<(ItemId, f64)> {
-        let Some(cur) = self.current else {
-            return Vec::new();
-        };
-        let mut v = self.successors.get(&cur).cloned().unwrap_or_default();
-        sort_candidates(&mut v, max);
-        v
+        self.row().iter().take(max).copied().collect()
     }
 
     fn name(&self) -> &'static str {
@@ -76,6 +81,27 @@ mod tests {
         }
         let c = o.candidates(3);
         assert_eq!(c, chain.successors(ItemId(4)));
+    }
+
+    #[test]
+    fn shared_table_candidates_match_from_chain_for_every_state() {
+        let mut rng = Rng::new(4);
+        let chain = MarkovChain::random(60, 5, 0.6, &mut rng);
+        let template = OraclePredictor::from_chain(&chain);
+        let mut shared = template.clone();
+        assert!(Arc::ptr_eq(&shared.successors, &template.successors));
+        for i in 0..60 {
+            let mut fresh = OraclePredictor::from_chain(&chain);
+            fresh.observe(ItemId(i));
+            shared.observe(ItemId(i));
+            for max in [1, 3, 5, 10] {
+                assert_eq!(shared.candidates(max), fresh.candidates(max), "state {i}, max {max}");
+            }
+            let mut expect = chain.successors(ItemId(i));
+            sort_candidates(&mut expect, 3);
+            assert_eq!(shared.candidates(3), expect, "state {i}");
+        }
+        assert!(template.candidates(3).is_empty(), "a clone's observations stay its own");
     }
 
     #[test]

@@ -87,11 +87,60 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
+/// The state a link event leaves its link in, until the link's next event.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct LinkState {
+    down: bool,
+    loss: f64,
+    latency_factor: f64,
+}
+
+impl LinkState {
+    const HEALTHY: LinkState = LinkState { down: false, loss: 0.0, latency_factor: 1.0 };
+}
+
+/// The state an origin event leaves the origin in.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct OriginState {
+    dark: bool,
+    delay: f64,
+}
+
+impl OriginState {
+    const HEALTHY: OriginState = OriginState { dark: false, delay: 0.0 };
+}
+
+/// The state a timeline of `(t, state from t on)` entries, in schedule
+/// order, gives at time `t`: the latest entry at or before `t` wins, and
+/// among entries at the same time the last scheduled one. Before the
+/// first entry the entity is `healthy`.
+fn state_at<S: Copy>(timeline: &[(f64, S)], t: f64, healthy: S) -> S {
+    match timeline.partition_point(|&(te, _)| te <= t) {
+        0 => healthy,
+        i => timeline[i - 1].1,
+    }
+}
+
 /// A validated, time-sorted schedule of faults. See the module docs for
 /// the determinism contract; [`FaultPlan::default`] is the empty plan.
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// Queries are `O(log k)` in the number `k` of events that touch the
+/// queried entity: the plan keeps one state timeline per link and one for
+/// the origin, built once from the schedule.
+#[derive(Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
+    /// Per global link id, the link's state changes in schedule order.
+    links: Vec<Vec<(f64, LinkState)>>,
+    /// The origin's state changes in schedule order.
+    origin: Vec<(f64, OriginState)>,
+}
+
+impl core::fmt::Debug for FaultPlan {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        // The timelines are a function of the events.
+        f.debug_struct("FaultPlan").field("events", &self.events).finish()
+    }
 }
 
 impl FaultPlan {
@@ -117,7 +166,37 @@ impl FaultPlan {
         }
         // Stable by schedule order on ties: later entries supersede.
         events.sort_by(|a, b| a.t.total_cmp(&b.t));
-        FaultPlan { events }
+        let mut links: Vec<Vec<(f64, LinkState)>> = Vec::new();
+        let mut origin = Vec::new();
+        for e in &events {
+            let (link, state) = match e.kind {
+                FaultKind::LinkDown { link } => {
+                    (link, LinkState { down: true, ..LinkState::HEALTHY })
+                }
+                FaultKind::LinkUp { link } => (link, LinkState::HEALTHY),
+                FaultKind::LinkDegrade { link, loss, latency_factor } => {
+                    (link, LinkState { down: false, loss, latency_factor })
+                }
+                FaultKind::OriginBlackout => {
+                    origin.push((e.t, OriginState { dark: true, delay: 0.0 }));
+                    continue;
+                }
+                FaultKind::OriginBrownout { delay } => {
+                    origin.push((e.t, OriginState { dark: false, delay }));
+                    continue;
+                }
+                FaultKind::OriginRestore => {
+                    origin.push((e.t, OriginState::HEALTHY));
+                    continue;
+                }
+                FaultKind::ProxyCrash { .. } | FaultKind::DigestLoss { .. } => continue,
+            };
+            if links.len() <= link {
+                links.resize_with(link + 1, Vec::new);
+            }
+            links[link].push((e.t, state));
+        }
+        FaultPlan { events, links, origin }
     }
 
     /// The empty plan: every query answers "healthy".
@@ -139,96 +218,40 @@ impl FaultPlan {
         self.events.iter().filter(|e| e.kind.is_boundary()).copied().collect()
     }
 
+    fn link(&self, link: usize, t: f64) -> LinkState {
+        let timeline = self.links.get(link).map_or(&[][..], Vec::as_slice);
+        state_at(timeline, t, LinkState::HEALTHY)
+    }
+
+    fn origin(&self, t: f64) -> OriginState {
+        state_at(&self.origin, t, OriginState::HEALTHY)
+    }
+
     /// Is `link` down at time `t`? (The latest link event at or before
     /// `t` wins; links start up.)
     pub fn link_down(&self, link: usize, t: f64) -> bool {
-        let mut down = false;
-        for e in &self.events {
-            if e.t > t {
-                break;
-            }
-            match e.kind {
-                FaultKind::LinkDown { link: l } if l == link => down = true,
-                FaultKind::LinkUp { link: l } | FaultKind::LinkDegrade { link: l, .. }
-                    if l == link =>
-                {
-                    down = false
-                }
-                _ => {}
-            }
-        }
-        down
+        self.link(link, t).down
     }
 
     /// Packet-loss probability of `link` at time `t` (0 when healthy).
     pub fn link_loss(&self, link: usize, t: f64) -> f64 {
-        let mut loss = 0.0;
-        for e in &self.events {
-            if e.t > t {
-                break;
-            }
-            match e.kind {
-                FaultKind::LinkDegrade { link: l, loss: p, .. } if l == link => loss = p,
-                FaultKind::LinkUp { link: l } | FaultKind::LinkDown { link: l } if l == link => {
-                    loss = 0.0
-                }
-                _ => {}
-            }
-        }
-        loss
+        self.link(link, t).loss
     }
 
     /// Latency multiplier of `link` at time `t` (1 when healthy; always
     /// ≥ 1, so inflated hops never undercut a window lookahead).
     pub fn link_latency_factor(&self, link: usize, t: f64) -> f64 {
-        let mut factor = 1.0;
-        for e in &self.events {
-            if e.t > t {
-                break;
-            }
-            match e.kind {
-                FaultKind::LinkDegrade { link: l, latency_factor: f, .. } if l == link => {
-                    factor = f
-                }
-                FaultKind::LinkUp { link: l } | FaultKind::LinkDown { link: l } if l == link => {
-                    factor = 1.0
-                }
-                _ => {}
-            }
-        }
-        factor
+        self.link(link, t).latency_factor
     }
 
     /// Is the origin blacked out at time `t`?
     pub fn origin_dark(&self, t: f64) -> bool {
-        let mut dark = false;
-        for e in &self.events {
-            if e.t > t {
-                break;
-            }
-            match e.kind {
-                FaultKind::OriginBlackout => dark = true,
-                FaultKind::OriginRestore | FaultKind::OriginBrownout { .. } => dark = false,
-                _ => {}
-            }
-        }
-        dark
+        self.origin(t).dark
     }
 
     /// Extra origin response delay at time `t` (0 when healthy).
     pub fn origin_delay(&self, t: f64) -> f64 {
-        let mut delay = 0.0;
-        for e in &self.events {
-            if e.t > t {
-                break;
-            }
-            match e.kind {
-                FaultKind::OriginBrownout { delay: d } => delay = d,
-                FaultKind::OriginRestore | FaultKind::OriginBlackout => delay = 0.0,
-                _ => {}
-            }
-        }
-        delay
+        self.origin(t).delay
     }
 
     /// Deterministic packet-loss roll: is attempt `attempt` of job `job`
@@ -317,6 +340,154 @@ pub struct FaultConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The original whole-plan scans, kept as the reference the indexed
+    /// queries are checked against.
+    mod scan {
+        use super::*;
+
+        pub fn link_down(p: &FaultPlan, link: usize, t: f64) -> bool {
+            let mut down = false;
+            for e in p.events() {
+                if e.t > t {
+                    break;
+                }
+                match e.kind {
+                    FaultKind::LinkDown { link: l } if l == link => down = true,
+                    FaultKind::LinkUp { link: l } | FaultKind::LinkDegrade { link: l, .. }
+                        if l == link =>
+                    {
+                        down = false
+                    }
+                    _ => {}
+                }
+            }
+            down
+        }
+
+        pub fn link_loss(p: &FaultPlan, link: usize, t: f64) -> f64 {
+            let mut loss = 0.0;
+            for e in p.events() {
+                if e.t > t {
+                    break;
+                }
+                match e.kind {
+                    FaultKind::LinkDegrade { link: l, loss: x, .. } if l == link => loss = x,
+                    FaultKind::LinkUp { link: l } | FaultKind::LinkDown { link: l }
+                        if l == link =>
+                    {
+                        loss = 0.0
+                    }
+                    _ => {}
+                }
+            }
+            loss
+        }
+
+        pub fn link_latency_factor(p: &FaultPlan, link: usize, t: f64) -> f64 {
+            let mut factor = 1.0;
+            for e in p.events() {
+                if e.t > t {
+                    break;
+                }
+                match e.kind {
+                    FaultKind::LinkDegrade { link: l, latency_factor: f, .. } if l == link => {
+                        factor = f
+                    }
+                    FaultKind::LinkUp { link: l } | FaultKind::LinkDown { link: l }
+                        if l == link =>
+                    {
+                        factor = 1.0
+                    }
+                    _ => {}
+                }
+            }
+            factor
+        }
+
+        pub fn origin_dark(p: &FaultPlan, t: f64) -> bool {
+            let mut dark = false;
+            for e in p.events() {
+                if e.t > t {
+                    break;
+                }
+                match e.kind {
+                    FaultKind::OriginBlackout => dark = true,
+                    FaultKind::OriginRestore | FaultKind::OriginBrownout { .. } => dark = false,
+                    _ => {}
+                }
+            }
+            dark
+        }
+
+        pub fn origin_delay(p: &FaultPlan, t: f64) -> f64 {
+            let mut delay = 0.0;
+            for e in p.events() {
+                if e.t > t {
+                    break;
+                }
+                match e.kind {
+                    FaultKind::OriginBrownout { delay: d } => delay = d,
+                    FaultKind::OriginRestore | FaultKind::OriginBlackout => delay = 0.0,
+                    _ => {}
+                }
+            }
+            delay
+        }
+    }
+
+    /// A fault from generated `(kind, entity, time slot, magnitude)`.
+    /// Times sit on a coarse half-second grid, so plans are full of
+    /// same-instant events whose schedule order decides the winner.
+    fn fault((kind, entity, slot, x): (u8, usize, u8, f64)) -> FaultEvent {
+        let kind = match kind {
+            0 => FaultKind::LinkDown { link: entity },
+            1 => FaultKind::LinkUp { link: entity },
+            2 => FaultKind::LinkDegrade { link: entity, loss: x, latency_factor: 1.0 + 4.0 * x },
+            3 => FaultKind::OriginBrownout { delay: x },
+            4 => FaultKind::OriginBlackout,
+            5 => FaultKind::OriginRestore,
+            6 => FaultKind::ProxyCrash { proxy: entity },
+            _ => FaultKind::DigestLoss { proxy: entity },
+        };
+        FaultEvent { t: 0.5 * f64::from(slot), kind }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+        #[test]
+        fn indexed_queries_match_the_linear_scan(
+            raw in proptest::collection::vec((0u8..8, 0usize..4, 0u8..10, 0.0f64..0.99), 0..40)
+        ) {
+            let events: Vec<FaultEvent> = raw.into_iter().map(fault).collect();
+            let plan = FaultPlan::new(events.clone());
+            prop_assert_eq!(plan.events().len(), events.len());
+            prop_assert!(plan.events().windows(2).all(|w| w[0].t <= w[1].t));
+            prop_assert_eq!(&plan, &FaultPlan::new(events.clone()));
+            for step in 0..24 {
+                // Every grid instant (ties), the gaps between them, and
+                // times before and after the whole plan.
+                let t = 0.25 * f64::from(step) - 0.5;
+                for link in 0..6 {
+                    prop_assert_eq!(plan.link_down(link, t), scan::link_down(&plan, link, t));
+                    prop_assert_eq!(
+                        plan.link_loss(link, t).to_bits(),
+                        scan::link_loss(&plan, link, t).to_bits()
+                    );
+                    prop_assert_eq!(
+                        plan.link_latency_factor(link, t).to_bits(),
+                        scan::link_latency_factor(&plan, link, t).to_bits()
+                    );
+                }
+                prop_assert_eq!(plan.origin_dark(t), scan::origin_dark(&plan, t));
+                prop_assert_eq!(
+                    plan.origin_delay(t).to_bits(),
+                    scan::origin_delay(&plan, t).to_bits()
+                );
+            }
+        }
+    }
 
     fn flap(link: usize, down: f64, up: f64) -> Vec<FaultEvent> {
         vec![

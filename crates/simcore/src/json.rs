@@ -328,12 +328,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape at once.
+                    // The input is a `str` and both delimiters are ASCII,
+                    // which never occurs inside a multi-byte character, so
+                    // the run is valid UTF-8 on its own.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .expect("a str split at ASCII delimiters");
+                    out.push_str(run);
                 }
             }
         }
@@ -439,6 +444,12 @@ mod tests {
         assert_eq!(arr[1].as_f64(), Some(-2500.0));
         assert_eq!(arr[2].as_str(), Some("xA"));
         assert_eq!(v.get("b").and_then(Json::as_obj).map(<[(String, Json)]>::len), Some(0));
+    }
+
+    #[test]
+    fn parse_keeps_multibyte_text_between_escapes() {
+        let doc = Json::arr([Json::str("héllo \"wörld\" ✓\\n"), Json::str("日本\t語")]);
+        assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
     }
 
     #[test]

@@ -8,17 +8,18 @@
 //!   times) and results land in their input slots, so output order is
 //!   deterministic regardless of scheduling.
 //! * **Conservative-window shard synchronization** ([`Mailboxes`],
-//!   [`TimeBoard`]) — the building blocks for a *single* simulation split
-//!   across threads: per-shard message inboxes filled concurrently during a
-//!   window and drained at its barrier, and an atomic board where each
-//!   shard publishes its next-event time so a coordinator can compute the
-//!   global horizon. Determinism is the callers' contract: receivers must
+//!   [`TimeBoard`], [`SpinBarrier`]) — the building blocks for a *single*
+//!   simulation split across threads: per-shard message inboxes filled
+//!   concurrently during a window and drained after its barrier, an
+//!   atomic board where each shard publishes its next-event time so every
+//!   shard can compute the same global horizon, and the barrier itself.
+//!   Determinism is the callers' contract: receivers must
 //!   sequence drained messages by their own timestamps/ids (e.g. via
 //!   `sched::TimedQueue`), never by delivery order, which these primitives
 //!   deliberately leave unspecified.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// One message inbox per shard, safe to fill from any thread.
 ///
@@ -55,9 +56,9 @@ impl<M> Mailboxes<M> {
 /// — monotone under `u64` comparison for the non-negative times simulations
 /// use, though [`TimeBoard::min`] decodes and compares as `f64` anyway).
 ///
-/// Shards publish their next pending event time at each barrier; the
-/// coordinator reads the global minimum to size the next conservative
-/// window. `f64::INFINITY` means "idle — nothing pending".
+/// Shards publish their next pending event time before each barrier and
+/// read the global minimum after it to size the next conservative window.
+/// `f64::INFINITY` means "idle — nothing pending".
 pub struct TimeBoard {
     slots: Vec<AtomicU64>,
 }
@@ -83,6 +84,84 @@ impl TimeBoard {
     /// The minimum published time across all shards (`+∞` when all idle).
     pub fn min(&self) -> f64 {
         (0..self.slots.len()).map(|i| self.get(i)).fold(f64::INFINITY, f64::min)
+    }
+}
+
+/// Spin-loop polls a barrier waiter makes before it starts yielding its
+/// core: long enough to cover a short window on the other core without a
+/// system call.
+const BARRIER_SPINS: u32 = 1 << 10;
+/// `yield_now` polls after the spins and before the waiter parks. When
+/// there are more threads than cores the thread being waited for may need
+/// this core, so waiters give it up instead of burning their time slice.
+const BARRIER_YIELDS: u32 = 32;
+
+/// A reusable barrier for a fixed set of `n` threads, tuned for the short,
+/// frequent rounds of a conservative-window driver.
+///
+/// A waiter first spins ([`BARRIER_SPINS`] polls), then yields
+/// ([`BARRIER_YIELDS`] polls), then parks on a condition variable, so a
+/// round that ends quickly costs no system call, while oversubscribed
+/// threads neither burn a core nor sleep through a short round. Like
+/// `std::sync::Barrier`, every write a thread makes before
+/// [`SpinBarrier::wait`] is visible to every thread after it.
+pub struct SpinBarrier {
+    n: usize,
+    arrived: AtomicUsize,
+    generation: AtomicU64,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl SpinBarrier {
+    /// A barrier that releases each generation once `n` threads wait.
+    pub fn new(n: usize) -> Self {
+        assert!(n > 0, "a barrier needs at least one thread");
+        SpinBarrier {
+            n,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicU64::new(0),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Blocks until all `n` threads have called `wait` for the current
+    /// generation. Returns `true` on exactly one thread per generation
+    /// (the last to arrive).
+    pub fn wait(&self) -> bool {
+        // Ordering: each arrival's `fetch_add` releases its writes, and the
+        // last arrival's `fetch_add` acquires them all (the increments form
+        // one release sequence). Its `Release` store of the new generation
+        // pairs with the waiters' `Acquire` loads, which pass everything on.
+        let gen = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
+            // Reset before publishing the new generation: a thread that
+            // sees the new generation and waits again must count from 0.
+            self.arrived.store(0, Ordering::Relaxed);
+            let guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+            self.generation.store(gen.wrapping_add(1), Ordering::Release);
+            drop(guard);
+            self.wake.notify_all();
+            return true;
+        }
+        for i in 0..BARRIER_SPINS + BARRIER_YIELDS {
+            if self.generation.load(Ordering::Acquire) != gen {
+                return false;
+            }
+            if i < BARRIER_SPINS {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        // The generation is re-checked under the lock the releasing thread
+        // bumps it under, so a wake-up cannot fall between check and park.
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        while self.generation.load(Ordering::Acquire) == gen {
+            guard = self.wake.wait(guard).unwrap_or_else(PoisonError::into_inner);
+        }
+        false
     }
 }
 
@@ -253,6 +332,74 @@ mod tests {
             (0..4).flat_map(|s| (0..100).map(move |i| (s, i))).collect();
         assert_eq!(got, expect);
         assert!(boxes.drain(0).is_empty(), "drain empties the inbox");
+    }
+
+    /// Runs `n` threads through `generations` barrier rounds and checks
+    /// that each thread passes each generation exactly once, only after
+    /// all `n` arrived, with one leader per generation. Threads with
+    /// `sleepy(thread, generation)` set arrive late, so the others park;
+    /// a lost wake-up would hang the run, which the deadline turns into a
+    /// failure.
+    fn barrier_rounds(n: usize, generations: usize, sleepy: fn(usize, usize) -> bool) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let barrier = SpinBarrier::new(n);
+            let counter = |_| AtomicUsize::new(0);
+            let arrived: Vec<AtomicUsize> = (0..generations).map(counter).collect();
+            let passed: Vec<AtomicUsize> = (0..generations).map(counter).collect();
+            let leaders: Vec<AtomicUsize> = (0..generations).map(counter).collect();
+            std::thread::scope(|scope| {
+                for me in 0..n {
+                    let (barrier, arrived, passed, leaders) =
+                        (&barrier, &arrived, &passed, &leaders);
+                    scope.spawn(move || {
+                        for g in 0..generations {
+                            if sleepy(me, g) {
+                                std::thread::sleep(std::time::Duration::from_micros(300));
+                            }
+                            arrived[g].fetch_add(1, Ordering::Relaxed);
+                            if barrier.wait() {
+                                leaders[g].fetch_add(1, Ordering::Relaxed);
+                            }
+                            assert_eq!(arrived[g].load(Ordering::Relaxed), n, "passed early");
+                            passed[g].fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                }
+            });
+            for g in 0..generations {
+                assert_eq!(passed[g].load(Ordering::Relaxed), n, "generation {g}");
+                assert_eq!(leaders[g].load(Ordering::Relaxed), 1, "generation {g}");
+            }
+            done_tx.send(()).expect("test receiver alive");
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("barrier rounds hung or panicked: a waiter was lost");
+    }
+
+    #[test]
+    fn barrier_two_threads_many_generations() {
+        barrier_rounds(2, 20_000, |_, _| false);
+    }
+
+    #[test]
+    fn barrier_eight_threads_many_generations() {
+        barrier_rounds(8, 5_000, |_, _| false);
+    }
+
+    #[test]
+    fn barrier_wakes_parked_waiters() {
+        // One late thread per round (rotating) forces the rest past their
+        // spin and yield budgets into the park.
+        barrier_rounds(2, 2_000, |me, g| g % 50 == 0 && me == (g / 50) % 2);
+        barrier_rounds(8, 2_000, |me, g| g % 25 == 0 && me == (g / 25) % 8);
+    }
+
+    #[test]
+    fn barrier_of_one_never_blocks() {
+        let b = SpinBarrier::new(1);
+        assert!((0..100).all(|_| b.wait()));
     }
 
     #[test]

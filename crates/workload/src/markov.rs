@@ -138,6 +138,14 @@ impl MarkovChain {
         self.state = s.0 as usize;
     }
 
+    /// One transition out of `from`, without touching the chain's own
+    /// state: the same draw as `set_state(from)` followed by
+    /// [`RequestStream::next_item`], so one shared chain can drive many
+    /// independent walkers.
+    pub fn step(&self, from: ItemId, rng: &mut Rng) -> ItemId {
+        ItemId(self.samplers[from.0 as usize].sample_index(rng) as u64)
+    }
+
     /// Stationary distribution by power iteration (for tests/analysis).
     pub fn stationary(&self, iterations: usize) -> Vec<f64> {
         let n = self.rows.len();
@@ -180,8 +188,9 @@ impl MarkovChain {
 
 impl RequestStream for MarkovChain {
     fn next_item(&mut self, rng: &mut Rng) -> ItemId {
-        self.state = self.samplers[self.state].sample_index(rng);
-        ItemId(self.state as u64)
+        let next = self.step(ItemId(self.state as u64), rng);
+        self.state = next.0 as usize;
+        next
     }
 }
 
@@ -278,6 +287,19 @@ mod tests {
             let emp = counts[i] as f64 / n as f64;
             assert!((emp - pi[i]).abs() < 0.01, "state {i}: {emp} vs {}", pi[i]);
         }
+    }
+
+    #[test]
+    fn step_makes_the_same_draw_as_set_state_then_next_item() {
+        let mut walker = MarkovChain::random(40, 4, 0.5, &mut Rng::new(8));
+        let shared = MarkovChain::random(40, 4, 0.5, &mut Rng::new(8));
+        let (mut a, mut b) = (Rng::new(9), Rng::new(9));
+        for i in 0..2_000u64 {
+            let from = ItemId(i % 40);
+            walker.set_state(from);
+            assert_eq!(shared.step(from, &mut b), walker.next_item(&mut a));
+        }
+        assert_eq!(shared.state(), ItemId(0), "step never moves the chain");
     }
 
     #[test]

@@ -11,9 +11,9 @@ use crate::arrivals::{ArrivalProcess, PoissonArrivals};
 use crate::catalog::{Catalog, ItemId};
 use crate::markov::MarkovChain;
 use crate::trace::TraceRecord;
-use crate::RequestStream;
 use simcore::dist::BoundedPareto;
 use simcore::rng::Rng;
+use std::sync::Arc;
 
 /// Configuration of the synthetic proxy workload.
 #[derive(Clone, Copy, Debug)]
@@ -49,10 +49,30 @@ impl Default for SynthWebConfig {
     }
 }
 
-/// Generator state: shared navigation graph, per-client positions.
+impl SynthWebConfig {
+    /// Every field that shapes the structure [`SynthWeb::new`] draws: all
+    /// of them but `lambda`, which only sets the arrival rate. Two configs
+    /// with equal keys, built from equal RNG states, draw the same
+    /// catalogue, navigation chain and initial client positions.
+    pub fn structure_key(&self) -> [u64; 6] {
+        [
+            self.n_clients as u64,
+            self.n_items as u64,
+            self.branching as u64,
+            self.link_skew.to_bits(),
+            self.mean_size.to_bits(),
+            self.size_shape.to_bits(),
+        ]
+    }
+}
+
+/// Generator state: the immutable structure (catalogue and navigation
+/// chain, `Arc`-shared between generators built with
+/// [`SynthWeb::with_lambda`]) plus per-generator client positions, clock
+/// and rate.
 pub struct SynthWeb {
-    pub catalog: Catalog,
-    pub chain: MarkovChain,
+    pub catalog: Arc<Catalog>,
+    pub chain: Arc<MarkovChain>,
     arrivals: PoissonArrivals,
     client_states: Vec<ItemId>,
     now: f64,
@@ -71,12 +91,28 @@ impl SynthWeb {
         let client_states =
             (0..config.n_clients).map(|_| ItemId(rng.below(config.n_items as u64))).collect();
         SynthWeb {
-            catalog,
-            chain,
+            catalog: Arc::new(catalog),
+            chain: Arc::new(chain),
             arrivals: PoissonArrivals::new(config.lambda),
             client_states,
             now: 0.0,
             config,
+        }
+    }
+
+    /// A generator over this one's catalogue and chain (shared, not
+    /// copied), starting from its current client positions and clock, at
+    /// aggregate rate `lambda`. From a fresh generator this is exactly
+    /// what [`SynthWeb::new`] would build with `lambda` swapped into the
+    /// config and the same RNG state: `lambda` draws nothing.
+    pub fn with_lambda(&self, lambda: f64) -> SynthWeb {
+        SynthWeb {
+            catalog: Arc::clone(&self.catalog),
+            chain: Arc::clone(&self.chain),
+            arrivals: PoissonArrivals::new(lambda),
+            client_states: self.client_states.clone(),
+            now: self.now,
+            config: SynthWebConfig { lambda, ..self.config },
         }
     }
 
@@ -90,8 +126,7 @@ impl SynthWeb {
         self.now += self.arrivals.next_gap(rng);
         let client = rng.index(self.client_states.len());
         // Advance this client's navigation.
-        self.chain.set_state(self.client_states[client]);
-        let item = self.chain.next_item(rng);
+        let item = self.chain.step(self.client_states[client], rng);
         self.client_states[client] = item;
         TraceRecord::new(self.now, client as u32, item, self.catalog.size(item))
     }
@@ -175,6 +210,24 @@ mod tests {
             last[r.client as usize] = Some(r.item);
         }
         assert!(checked > 10_000);
+    }
+
+    #[test]
+    fn lambda_clone_shares_structure_and_matches_a_fresh_build() {
+        let base = SynthWebConfig::default();
+        let other = SynthWebConfig { lambda: 11.5, ..base };
+        assert_eq!(base.structure_key(), other.structure_key());
+        let template = SynthWeb::new(base, &mut Rng::new(7));
+        let mut shared = template.with_lambda(other.lambda);
+        let mut fresh = SynthWeb::new(other, &mut Rng::new(7));
+        assert!(Arc::ptr_eq(&shared.chain, &template.chain));
+        assert!(Arc::ptr_eq(&shared.catalog, &template.catalog));
+        assert_eq!(shared.config().lambda, 11.5);
+        let (mut a, mut b) = (Rng::new(8), Rng::new(8));
+        assert_eq!(shared.generate(5_000, &mut a), fresh.generate(5_000, &mut b));
+        // A config that changes the structure changes the key.
+        let wider = SynthWebConfig { n_items: 600, ..base };
+        assert_ne!(base.structure_key(), wider.structure_key());
     }
 
     #[test]
